@@ -42,7 +42,7 @@ import (
 var WireBound = &Analyzer{
 	Name:      "wirebound",
 	Doc:       "wire-decoded sizes need a bound check before make/append, or //dbtf:bounded <reason>",
-	Scope:     []string{"internal/transport", "internal/serve", "internal/core", "internal/tensor", "internal/boolmat"},
+	Scope:     []string{"internal/transport", "internal/serve", "internal/core", "internal/tensor", "internal/boolmat", "internal/partition"},
 	Run:       runWireBound,
 	FactTypes: []Fact{(*auditedPkgFact)(nil), (*decodeCallFact)(nil)},
 	CrossPackage: func(cp *CrossPass) error {

@@ -64,12 +64,30 @@ func (c *Cluster) runStageRemote(ctx context.Context, spec transport.Spec, sink 
 	return nil
 }
 
+// PushSetup ships every remote executor its own setup blob (homes[m] to
+// machine m); on the simulated backend it is a no-op. The wire volume is
+// emitted as a trace measurement; the modeled shuffle of the partitions
+// is recorded by the caller, identically on both backends.
+func (c *Cluster) PushSetup(ctx context.Context, homes [][]byte) error {
+	return c.push(ctx, transport.StateSetup, func(ctx context.Context) error {
+		return c.transport.PushSetup(ctx, homes)
+	})
+}
+
 // PushState replicates one state blob to every live remote executor; on
 // the simulated backend it is a no-op (the "executors" share the
 // coordinator's memory). The wire volume is emitted as a trace
 // measurement; the modeled broadcast traffic is recorded separately by the
 // caller through Broadcast/BroadcastState, identically on both backends.
 func (c *Cluster) PushState(ctx context.Context, kind transport.StateKind, payload []byte) error {
+	return c.push(ctx, kind, func(ctx context.Context) error {
+		return c.transport.PushState(ctx, kind, payload)
+	})
+}
+
+// push runs one state push on the transport, emitting its real socket
+// bytes as a "state:<kind>" wire measurement.
+func (c *Cluster) push(ctx context.Context, kind transport.StateKind, send func(context.Context) error) error {
 	if c.transport == nil {
 		return nil
 	}
@@ -77,7 +95,7 @@ func (c *Cluster) PushState(ctx context.Context, kind transport.StateKind, paylo
 		ctx = context.Background()
 	}
 	sentBefore, recvBefore := c.transport.WireBytes()
-	err := c.transport.PushState(ctx, kind, payload)
+	err := send(ctx)
 	sentAfter, recvAfter := c.transport.WireBytes()
 	c.emitWire("state:"+kind.String(), -1, (sentAfter-sentBefore)+(recvAfter-recvBefore))
 	if err != nil {

@@ -33,6 +33,13 @@ func (f *fakeTransport) Membership(ctx context.Context) []transport.LivenessEven
 	return ev
 }
 
+func (f *fakeTransport) PushSetup(ctx context.Context, homes [][]byte) error {
+	for _, h := range homes {
+		f.sent.Add(int64(len(h)))
+	}
+	return nil
+}
+
 func (f *fakeTransport) PushState(ctx context.Context, kind transport.StateKind, payload []byte) error {
 	f.sent.Add(int64(len(payload)))
 	return nil

@@ -331,17 +331,6 @@ func Decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 			// deliberately does not speak (the ablation argues against it).
 			return nil, errors.New("core: horizontal partitioning requires the simulated backend")
 		}
-		// Ship the run's immutable inputs: every executor rebuilds the
-		// partitioned unfoldings locally from the tensor, and a rejoining
-		// machine gets the same blob replayed — the re-shipped partitions
-		// of the recovery protocol, over the real socket.
-		setup, err := encodeSetup(x, opt, cl.Machines())
-		if err != nil {
-			return nil, err
-		}
-		if err := cl.PushState(ctx, transport.StateSetup, setup); err != nil {
-			return nil, err
-		}
 	}
 
 	// Run span: the RunEnd snapshot is the Stats accumulated during this
@@ -374,8 +363,9 @@ func Decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 	}
 
 	// Checkpointing: the fingerprint binds a checkpoint to this exact
-	// configuration and tensor, and resume loads the latest snapshot
-	// before any distributed work starts.
+	// configuration and tensor, and resume loads and validates the latest
+	// snapshot before any distributed work starts — and before anything
+	// is shipped to remote executors.
 	checkpointing := opt.CheckpointDir != ""
 	if checkpointing {
 		d.fp = fingerprint(x, opt, cl.Machines())
@@ -445,6 +435,15 @@ func Decompose(ctx context.Context, x *tensor.Tensor, cl *cluster.Cluster, opts 
 			}
 		}
 	}()
+	if d.remote {
+		// Ship each executor its own share of the partitionings just
+		// built — Lemma 6's one-off distribution over the real socket. The
+		// transport keeps every blob, so a rejoining machine gets its own
+		// replayed and a ring successor adopts a lost machine's.
+		if err := cl.PushSetup(ctx, encodeSetups(d.px, opt, cl.Machines())); err != nil {
+			return nil, err
+		}
+	}
 
 	src := newCountingSource(opt.Seed)
 	rng := rand.New(src)

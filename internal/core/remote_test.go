@@ -9,6 +9,8 @@ import (
 
 	"dbtf/internal/boolmat"
 	"dbtf/internal/cluster"
+	"dbtf/internal/partition"
+	"dbtf/internal/tensor"
 	"dbtf/internal/transport"
 )
 
@@ -24,6 +26,8 @@ type hostTransport struct {
 	batch bool
 	sent  atomic.Int64
 	recvd atomic.Int64
+	// setupBytes counts the setup blobs shipped, summed over machines.
+	setupBytes atomic.Int64
 }
 
 func newHostTransport(machines int) *hostTransport {
@@ -48,6 +52,18 @@ func newBatchHostTransport(machines, threads int) *hostTransport {
 func (h *hostTransport) Machines() int { return len(h.hosts) }
 
 func (h *hostTransport) Membership(context.Context) []transport.LivenessEvent { return nil }
+
+// PushSetup follows the per-home contract: host m applies only homes[m].
+func (h *hostTransport) PushSetup(ctx context.Context, homes [][]byte) error {
+	for m, host := range h.hosts {
+		if err := host.Apply(transport.StateSetup, homes[m]); err != nil {
+			return err
+		}
+		h.sent.Add(int64(len(homes[m])))
+		h.setupBytes.Add(int64(len(homes[m])))
+	}
+	return nil
+}
 
 func (h *hostTransport) PushState(ctx context.Context, kind transport.StateKind, payload []byte) error {
 	for _, host := range h.hosts {
@@ -98,6 +114,17 @@ func (h *hostTransport) Run(ctx context.Context, spec transport.Spec, deliver fu
 
 func (h *hostTransport) WireBytes() (int64, int64) { return h.sent.Load(), h.recvd.Load() }
 func (h *hostTransport) Close() error              { return nil }
+
+// setupBlobs partitions x the way Decompose does and returns every home's
+// setup blob for the given machine count.
+func setupBlobs(x *tensor.Tensor, opt Options, machines int) [][]byte {
+	var px [3]*partition.Partitioned
+	for m, u := range x.UnfoldAll() {
+		px[m] = partition.Build(u, opt.Partitions)
+		u.Recycle()
+	}
+	return encodeSetups(px, opt, machines)
+}
 
 // TestRemoteHostsMatchSimulated is the in-process half of the transport
 // differential guarantee: for the same seed, Decompose over Worker hosts
@@ -182,12 +209,16 @@ func TestWorkerRejectsOutOfOrderState(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(3))
 	x := randomTensor(rng, 5, 6, 7, 0.2)
-	setup, err := encodeSetup(x, Options{Rank: 2, Partitions: 2, GroupBits: 4}, 2)
-	if err != nil {
-		t.Fatal(err)
+	homes := setupBlobs(x, Options{Rank: 2, Partitions: 2, GroupBits: 4}, 2)
+	if err := w.Apply(transport.StateAdopt, homes[1]); err == nil {
+		t.Fatal("adoption before setup succeeded")
 	}
-	if err := w.Apply(transport.StateSetup, setup); err != nil {
+	if err := w.Apply(transport.StateSetup, homes[0]); err != nil {
 		t.Fatalf("valid setup rejected: %v", err)
+	}
+	other := setupBlobs(x, Options{Rank: 3, Partitions: 2, GroupBits: 4}, 2)
+	if err := w.Apply(transport.StateAdopt, other[1]); err == nil {
+		t.Fatal("adopted a share of a different run")
 	}
 	if err := w.Apply(transport.StateColumn, encodeColumn(0, 0, boolmat.RandomFactor(rng, 5, 2, 0.5))); err == nil {
 		t.Fatal("column push before factors succeeded")
@@ -252,11 +283,8 @@ func TestWorkerBatchErrorAttribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x := randomTensor(rng, 8, 7, 6, 0.25)
 	w := NewWorkerThreads(4)
-	setup, err := encodeSetup(x, Options{Rank: 3, Partitions: 2, GroupBits: 4}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Apply(transport.StateSetup, setup); err != nil {
+	// One machine owns both partitions.
+	if err := w.Apply(transport.StateSetup, setupBlobs(x, Options{Rank: 3, Partitions: 2, GroupBits: 4}, 1)[0]); err != nil {
 		t.Fatal(err)
 	}
 	a := boolmat.RandomFactor(rng, 8, 3, 0.4)
@@ -269,7 +297,7 @@ func TestWorkerBatchErrorAttribution(t *testing.T) {
 
 	// Tasks 7 and 9 are outside the 2-partition range; the earlier one in
 	// batch order must be the one named.
-	_, err = w.RunBatch(spec, []int{0, 7, 9})
+	_, err := w.RunBatch(spec, []int{0, 7, 9})
 	if err == nil {
 		t.Fatal("batch with invalid tasks succeeded")
 	}

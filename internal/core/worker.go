@@ -8,21 +8,22 @@ import (
 	"dbtf/internal/boolmat"
 	"dbtf/internal/cluster"
 	"dbtf/internal/partition"
-	"dbtf/internal/tensor"
 	"dbtf/internal/transport"
 )
 
 // Worker is the executor side of a remote run: one logical machine's
-// replicated state — the tensor, the three partitioned unfoldings, the
-// current factor matrices, a cache registry, and the column tasks built by
-// build stages — plus the stage kinds the coordinator ships. It implements
-// transport.Host.
+// state — the partitions of the three unfoldings it owns (partition pi
+// lives on machine pi mod M), plus any a lost machine's setup blob handed
+// it as ring successor, the current factor matrices, a cache registry,
+// and the column tasks built by build stages — and the stage kinds the
+// coordinator ships. It holds no tensor: partitions arrive laid out in
+// the setup blob and are decoded in place. It implements transport.Host.
 //
 // A Worker runs the exact kernels the simulated engine runs
-// (buildColumnTask, evalColumn, partitionError) on state kept
-// entry-identical to the coordinator's by the StateKind pushes, which is
-// what makes remote factors bit-identical to simulated ones for the same
-// seed.
+// (buildColumnTask, evalColumn, partitionError) on partitions equal to
+// the coordinator's and factors kept entry-identical by the StateKind
+// pushes, which is what makes remote factors bit-identical to simulated
+// ones for the same seed.
 //
 // Concurrency: the wire protocol is one request at a time per
 // connection, but a single request may fan out — RunBatch evaluates a
@@ -38,10 +39,14 @@ type Worker struct {
 	mu   sync.RWMutex
 	//dbtf:guardedby mu
 	setup wireSetup
+	// shares maps each home whose setup blob the machine applied — its
+	// own, then adopted ones — to that home's decoded partitions of the
+	// three modes. Empty until the first StateSetup.
 	//dbtf:guardedby mu
-	x *tensor.Tensor
+	shares map[int][3]*partition.Partitioned
+	// parts[mode][pi] indexes every held partition of the mode.
 	//dbtf:guardedby mu
-	px [3]*partition.Partitioned
+	parts [3]map[int]*partition.Partition
 	// reg is this machine's cache registry: summers resolved here are
 	// shared by the machine's partitions and across stages, exactly like
 	// one simulated machine's registry entry.
@@ -57,7 +62,7 @@ type Worker struct {
 	tasks [3]map[int]*columnTask
 }
 
-// NewWorker returns an empty executor awaiting a StateSetup push.
+// NewWorker returns an empty executor awaiting its StateSetup blob.
 func NewWorker() *Worker { return &Worker{} }
 
 // NewWorkerThreads returns an executor whose stage batches and eval
@@ -82,43 +87,100 @@ func (w *Worker) Apply(kind transport.StateKind, payload []byte) error {
 		return w.applyFactorsLocked(payload)
 	case transport.StateColumn:
 		return w.applyColumnLocked(payload)
+	case transport.StateAdopt:
+		return w.applyAdoptLocked(payload)
 	}
 	return fmt.Errorf("core: worker: unknown state kind %d", kind)
 }
 
 func (w *Worker) applySetupLocked(payload []byte) error {
-	ws, x, err := decodeSetup(payload)
+	ws, px, err := decodeSetup(payload)
 	if err != nil {
 		return err
 	}
-	w.setup, w.x = ws, x
-	// Rebuild the vertical partitionings locally — the executor's share of
-	// Algorithm 2's one-off distribution. A replayed setup (machine
-	// rejoin) resets everything: the process may have restarted and holds
-	// no usable state.
-	ux := x.UnfoldAll()
-	for m := range w.px {
-		if w.px[m] != nil {
-			w.px[m].Release()
-		}
-		w.px[m] = partition.Build(ux[m], ws.Partitions)
-		ux[m].Recycle()
+	// A setup (first push or rejoin replay) resets everything: the
+	// process may have restarted, or be starting a new run.
+	w.releaseSharesLocked()
+	w.setup = ws
+	w.shares = map[int][3]*partition.Partitioned{}
+	for m := range w.parts {
+		w.parts[m] = map[int]*partition.Partition{}
 	}
+	w.addShareLocked(ws.Home, px)
 	w.reg = &machineRegistry{entries: map[registryKey]*machineCache{}}
 	w.a, w.b, w.c = nil, nil, nil
 	w.resetTasksLocked()
 	return nil
 }
 
+// applyAdoptLocked adds a lost home's share to the machine's own, keeping
+// factors, caches and built tasks: the adopted partitions build their
+// column tasks lazily on first use. Adopting a held home is a no-op.
+func (w *Worker) applyAdoptLocked(payload []byte) error {
+	if w.shares == nil {
+		return fmt.Errorf("core: worker: adoption before setup")
+	}
+	ws, px, err := decodeSetup(payload)
+	if err != nil {
+		return err
+	}
+	home := ws.Home
+	ws.Home = w.setup.Home
+	if ws != w.setup {
+		releaseShare(px)
+		return fmt.Errorf("core: worker: adopted setup of home %d does not match the run's parameters", home)
+	}
+	if _, held := w.shares[home]; held {
+		releaseShare(px)
+		return nil
+	}
+	w.addShareLocked(home, px)
+	return nil
+}
+
+// addShareLocked records home's decoded share and indexes its partitions.
+func (w *Worker) addShareLocked(home int, px [3]*partition.Partitioned) {
+	w.shares[home] = px
+	for m, p := range px {
+		for _, part := range p.Parts {
+			w.parts[m][part.Index] = part
+		}
+	}
+}
+
+// releaseSharesLocked returns every held share's arenas to the slab pool.
+func (w *Worker) releaseSharesLocked() {
+	//dbtf:allow-nondeterministic release order only picks which slab pool slot each arena lands in; no result reads it
+	for _, px := range w.shares {
+		releaseShare(px)
+	}
+	w.shares = nil
+}
+
+func releaseShare(px [3]*partition.Partitioned) {
+	for _, p := range px {
+		p.Release()
+	}
+}
+
+// partLocked returns held partition pi of mode modeIdx.
+func (w *Worker) partLocked(modeIdx, pi int) (*partition.Partition, error) {
+	part := w.parts[modeIdx][pi]
+	if part == nil {
+		return nil, fmt.Errorf("core: worker: partition %d of mode %d is not held by this machine", pi, modeIdx+1)
+	}
+	return part, nil
+}
+
 func (w *Worker) applyFactorsLocked(payload []byte) error {
-	if w.x == nil {
+	if w.shares == nil {
 		return fmt.Errorf("core: worker: factors pushed before setup")
 	}
 	a, b, c, err := decodeFactors(payload)
 	if err != nil {
 		return err
 	}
-	i, j, k := w.x.Dims()
+	i, j, k := w.setup.Dims[0], w.setup.Dims[1], w.setup.Dims[2]
 	for _, f := range []struct {
 		name string
 		m    *boolmat.FactorMatrix
@@ -204,7 +266,7 @@ func (w *Worker) modeMatricesLocked(modeIdx int) (upd, mf, ms *boolmat.FactorMat
 func (w *Worker) RunTask(spec transport.Spec, task int) ([]byte, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.x == nil {
+	if w.shares == nil {
 		return nil, fmt.Errorf("core: worker: stage %q before setup", spec.Name)
 	}
 	switch spec.Kind {
@@ -225,11 +287,10 @@ func (w *Worker) RunTask(spec transport.Spec, task int) ([]byte, error) {
 		if w.a == nil {
 			return nil, fmt.Errorf("core: worker: total-error before factors push")
 		}
-		px := w.px[0]
-		if task < 0 || task >= len(px.Parts) {
-			return nil, fmt.Errorf("core: worker: task %d outside %d partitions", task, len(px.Parts))
+		part, err := w.partLocked(0, task)
+		if err != nil {
+			return nil, err
 		}
-		part := px.Parts[task]
 		summers := buildBlockSummers(w.reg, part, w.b, w.setup.GroupBits, w.setup.NoCache)
 		return encodePartial(partitionError(part, w.a, w.c, summers)), nil
 	}
@@ -247,14 +308,13 @@ func (w *Worker) columnTaskForLocked(modeIdx, pi int) (*columnTask, error) {
 	if err != nil {
 		return nil, err
 	}
-	px := w.px[modeIdx]
-	if pi < 0 || pi >= len(px.Parts) {
-		return nil, fmt.Errorf("core: worker: task %d outside %d partitions", pi, len(px.Parts))
-	}
 	if t := w.tasks[modeIdx][pi]; t != nil {
 		return t, nil
 	}
-	part := px.Parts[pi]
+	part, err := w.partLocked(modeIdx, pi)
+	if err != nil {
+		return nil, err
+	}
 	summers := buildBlockSummers(w.reg, part, ms, w.setup.GroupBits, w.setup.NoCache)
 	t := buildColumnTask(part, upd, mf, summers, w.setup.NoCache, w.pool)
 	w.tasks[modeIdx][pi] = t
@@ -319,7 +379,7 @@ func (w *Worker) RunBatch(spec transport.Spec, tasks []int) ([]transport.TaskOut
 func (w *Worker) resolveEvalBatch(spec transport.Spec, tasks []int) ([]*columnTask, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.x == nil {
+	if w.shares == nil {
 		return nil, fmt.Errorf("stage before setup")
 	}
 	if spec.Col < 0 || spec.Col >= w.setup.Rank {

@@ -298,20 +298,8 @@ func Build(u *tensor.Unfolded, n int) *Partitioned {
 	// one shared backing array.
 	var all []*Block
 	for i := 0; i < n; i++ {
-		lo := i * u.NumCols / n
-		hi := (i + 1) * u.NumCols / n
-		p := &Partition{Index: i, Lo: lo, Hi: hi}
-		for _, s := range blockSpans(lo, hi, u.BlockSize) {
-			b := &Block{
-				PVM:     s.pvm,
-				Lo:      s.lo,
-				Hi:      s.hi,
-				InnerLo: s.lo - s.pvm*u.BlockSize,
-				Type:    classify(s, u.BlockSize),
-			}
-			p.Blocks = append(p.Blocks, b)
-			all = append(all, b)
-		}
+		p := layout(i, n, u.NumCols, u.BlockSize)
+		all = append(all, p.Blocks...)
 		px.Parts = append(px.Parts, p)
 	}
 
@@ -352,11 +340,8 @@ func Build(u *tensor.Unfolded, n int) *Partitioned {
 		total := int(rp[rows])
 		b.rowPtr = rp
 		bitsOff[bi+1] = bitsOff[bi] + int32(total)
-		if cells := rows * b.Width(); cells > 0 &&
-			float64(total)/float64(cells) >= DenseRowThreshold {
-			b.stride = (b.Width() + bitvec.WordBits - 1) / bitvec.WordBits
-			denseTotal += rows * b.stride
-		}
+		b.stride = denseStride(rows, b.Width(), total)
+		denseTotal += rows * b.stride
 	}
 	bitsArena := slab.Int32s(u.NNZ())
 	denseArena := slab.Uint64sZeroed(denseTotal)
@@ -398,6 +383,37 @@ func Build(u *tensor.Unfolded, n int) *Partitioned {
 		}
 	}
 	return px
+}
+
+// layout returns partition i of n over numCols columns with its
+// PVM-aligned blocks laid out but no CSR content: the column range is
+// [i·numCols/n, (i+1)·numCols/n) and the blocks cut it at multiples of
+// blockSize. Build and Decode share it, so a decoded partition has the
+// layout the coordinator built.
+func layout(i, n, numCols, blockSize int) *Partition {
+	lo := i * numCols / n
+	hi := (i + 1) * numCols / n
+	p := &Partition{Index: i, Lo: lo, Hi: hi}
+	for _, s := range blockSpans(lo, hi, blockSize) {
+		p.Blocks = append(p.Blocks, &Block{
+			PVM:     s.pvm,
+			Lo:      s.lo,
+			Hi:      s.hi,
+			InnerLo: s.lo - s.pvm*blockSize,
+			Type:    classify(s, blockSize),
+		})
+	}
+	return p
+}
+
+// denseStride returns the packed-row stride in words of a rows × width
+// block holding nnz nonzeros, or 0 when the block is below
+// DenseRowThreshold and stays CSR-only.
+func denseStride(rows, width, nnz int) int {
+	if cells := rows * width; cells > 0 && float64(nnz)/float64(cells) >= DenseRowThreshold {
+		return (width + bitvec.WordBits - 1) / bitvec.WordBits
+	}
+	return 0
 }
 
 // trimSegment narrows a sorted bucket segment to columns [lo, hi). Partial

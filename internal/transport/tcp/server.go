@@ -235,7 +235,7 @@ func (s *Server) serveConn(conn net.Conn, st *connState) error {
 				resp = &transport.Msg{Type: transport.MsgAck}
 			}
 		case transport.MsgRun:
-			resp = runBatch(s.host, req)
+			resp = runRequest(s.host, req)
 		default:
 			resp = &transport.Msg{Type: transport.MsgError, Error: fmt.Sprintf("unexpected message type %d", req.Type)}
 		}
@@ -249,6 +249,19 @@ func (s *Server) serveConn(conn net.Conn, st *connState) error {
 			return nil
 		}
 	}
+}
+
+// runRequest applies a MsgRun's queued state blobs in order, then runs
+// its batch. A failed apply fails the request before any task runs: the
+// executor's state would no longer match the coordinator's.
+func runRequest(host transport.Host, req *transport.Msg) *transport.Msg {
+	for _, st := range req.States {
+		if err := host.Apply(st.Kind, st.Payload); err != nil {
+			return &transport.Msg{Type: transport.MsgError,
+				Error: fmt.Sprintf("stage %q: applying queued %s state: %v", req.Spec.Name, st.Kind, err)}
+		}
+	}
+	return runBatch(host, req)
 }
 
 // runBatch executes one stage batch. The reply is all-or-nothing: any

@@ -6,10 +6,16 @@
 // driver; the executor side (Serve) pumps frames into a transport.Host.
 // Failure handling mirrors the simulated engine's recovery protocol:
 // a connection error marks the machine down and surfaces as a
-// LivenessEvent at the next stage boundary, its queued work reroutes to
-// the ring-successor live machine, and a machine that redials is replayed
-// the full state history (setup, current factors, columns since) before it
-// is reported back up.
+// LivenessEvent at the next stage boundary, its work reroutes to the
+// ring-successor live machine (which first adopts the lost machine's
+// setup blob, in the same request), and a machine that redials is
+// replayed its state history (its own setup blob, current factors,
+// columns since) before it is reported back up.
+//
+// In a steady run each worker sees one setup push, one factors push per
+// iteration and one request per stage: committed columns ride on the next
+// request, and Membership pings only workers that have not answered a
+// call since the previous boundary.
 package tcp
 
 import (
@@ -69,13 +75,24 @@ type remoteError struct{ msg string }
 
 func (e *remoteError) Error() string { return e.msg }
 
-// worker is the coordinator's view of one machine.
+// worker is the coordinator's view of one machine. Every field past addr
+// is guarded by mu.
 type worker struct {
 	addr string
 	mu   sync.Mutex
 	// conn is nil while the worker is down.
 	conn     net.Conn
 	lastDial time.Time
+	// answered records a reply since the last Membership boundary: the
+	// evidence of life that makes a ping redundant.
+	answered bool
+	// queued holds the column commits the worker has not received yet;
+	// they travel with its next request.
+	queued []transport.StateBlob
+	// holds marks the homes whose setup blobs the worker has applied: its
+	// own after a setup push or replay, plus any it adopted as a ring
+	// successor. Reset when the connection goes down.
+	holds map[int]bool
 }
 
 // Coordinator implements transport.Transport over per-worker TCP
@@ -90,9 +107,10 @@ type Coordinator struct {
 	pmu     sync.Mutex
 	pending []transport.LivenessEvent
 
-	// Replay log for rejoining workers: the setup blob, the latest factor
-	// snapshot, and the column commits since that snapshot.
-	setup   []byte
+	// Replay log for rejoining workers and adopting successors: every
+	// home's setup blob, the latest factor snapshot, and the column
+	// commits since that snapshot.
+	homes   [][]byte
 	factors []byte
 	columns [][]byte
 
@@ -184,6 +202,8 @@ func (c *Coordinator) dialWorker(ctx context.Context, m int, w *worker) error {
 	w.mu.Lock()
 	w.conn = conn
 	w.lastDial = time.Now()
+	// The handshake reply is evidence of life for the next boundary.
+	w.answered = true
 	w.mu.Unlock()
 	return nil
 }
@@ -214,6 +234,11 @@ func (c *Coordinator) call(m int, msg *transport.Msg) (*transport.Msg, error) {
 	w := c.workers[m]
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return c.callLocked(m, w, msg)
+}
+
+// callLocked is call for a caller holding w.mu.
+func (c *Coordinator) callLocked(m int, w *worker, msg *transport.Msg) (*transport.Msg, error) {
 	if w.conn == nil {
 		return nil, errDown
 	}
@@ -222,6 +247,7 @@ func (c *Coordinator) call(m int, msg *transport.Msg) (*transport.Msg, error) {
 		c.markDownLocked(m, w)
 		return nil, fmt.Errorf("%w: machine %d: %v", errDown, m, err)
 	}
+	w.answered = true
 	if resp.Type == transport.MsgError {
 		return nil, &remoteError{msg: fmt.Sprintf("worker %d: %s", m, resp.Error)}
 	}
@@ -229,7 +255,8 @@ func (c *Coordinator) call(m int, msg *transport.Msg) (*transport.Msg, error) {
 }
 
 // markDownLocked closes machine m's connection and queues the loss event.
-// Caller holds w.mu.
+// Caller holds w.mu. The worker's queued columns and adopted homes die
+// with the connection: a rejoin replays its state from the log.
 func (c *Coordinator) markDownLocked(m int, w *worker) {
 	if w.conn == nil {
 		return
@@ -237,6 +264,7 @@ func (c *Coordinator) markDownLocked(m int, w *worker) {
 	// The connection is already broken; a close error adds nothing.
 	_ = w.conn.Close()
 	w.conn = nil
+	w.queued, w.holds = nil, nil
 	c.pmu.Lock()
 	c.pending = append(c.pending, transport.LivenessEvent{Machine: m, Up: false})
 	c.pmu.Unlock()
@@ -273,18 +301,24 @@ func (c *Coordinator) Close() error {
 
 // Membership implements transport.Transport: it reports the liveness
 // transitions since the last stage boundary. Losses detected mid-stage
-// were queued by call; here the coordinator additionally pings live
-// workers (catching silent deaths between stages) and attempts to redial
-// down workers, replaying the state history before reporting them up.
+// were queued by call; here the coordinator additionally pings the live
+// workers that have not answered any call since the previous boundary
+// (catching silent deaths between stages without a round trip per worker
+// per stage) and attempts to redial down workers, replaying the state
+// history before reporting them up.
 func (c *Coordinator) Membership(ctx context.Context) []transport.LivenessEvent {
-	for m := range c.workers {
-		if !c.alive(m) {
-			continue
+	for m, w := range c.workers {
+		w.mu.Lock()
+		probe := w.conn != nil && !w.answered
+		w.answered = false
+		if probe {
+			// A failed ping queues the loss itself via markDownLocked; a
+			// pong is evidence for this boundary, not the next one.
+			if _, err := c.callLocked(m, w, &transport.Msg{Type: transport.MsgPing}); err == nil {
+				w.answered = false
+			}
 		}
-		// A failed ping queues the loss itself via call → markDownLocked.
-		if _, err := c.call(m, &transport.Msg{Type: transport.MsgPing}); err == nil {
-			continue
-		}
+		w.mu.Unlock()
 	}
 	for m, w := range c.workers {
 		if c.alive(m) || ctx.Err() != nil {
@@ -323,14 +357,18 @@ func (c *Coordinator) Membership(ctx context.Context) []transport.LivenessEvent 
 }
 
 // replay ships the recorded state history to a freshly redialed machine:
-// the rejoin path of the recovery protocol. The setup replay resets the
+// the rejoin path of the recovery protocol — its own setup blob, the
+// current factors, the columns since. The setup replay resets the
 // worker, so replaying to a process that never actually died is safe.
 func (c *Coordinator) replay(m int) error {
+	w := c.workers[m]
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	push := func(kind transport.StateKind, payload []byte) error {
 		if payload == nil {
 			return nil
 		}
-		resp, err := c.call(m, &transport.Msg{Type: transport.MsgState, State: kind, Payload: payload})
+		resp, err := c.callLocked(m, w, &transport.Msg{Type: transport.MsgState, State: kind, Payload: payload})
 		if err != nil {
 			return err
 		}
@@ -339,8 +377,11 @@ func (c *Coordinator) replay(m int) error {
 		}
 		return nil
 	}
-	if err := push(transport.StateSetup, c.setup); err != nil {
-		return err
+	if c.homes != nil {
+		if err := push(transport.StateSetup, c.homes[m]); err != nil {
+			return err
+		}
+		w.holds = map[int]bool{m: true}
 	}
 	if err := push(transport.StateFactors, c.factors); err != nil {
 		return err
@@ -353,37 +394,99 @@ func (c *Coordinator) replay(m int) error {
 	return nil
 }
 
+// PushSetup implements transport.Transport: record every home's blob for
+// replay and adoption, then ship each live machine its own blob,
+// concurrently.
+func (c *Coordinator) PushSetup(ctx context.Context, homes [][]byte) error {
+	if len(homes) != len(c.workers) {
+		return fmt.Errorf("tcp: setup push: %d home blobs for %d workers", len(homes), len(c.workers))
+	}
+	c.homes, c.factors, c.columns = homes, nil, nil
+	for _, w := range c.workers {
+		w.mu.Lock()
+		w.queued, w.holds = nil, nil
+		w.mu.Unlock()
+	}
+	return c.pushAll(ctx, transport.StateSetup, func(m int) []byte { return homes[m] }, func(m int, w *worker) {
+		w.holds = map[int]bool{m: true}
+	})
+}
+
 // PushState implements transport.Transport: record the blob in the replay
-// log, then ship it to every live worker. Workers that fail mid-push are
-// marked down (they will be replayed the same blob on rejoin); the push
-// only errors if an executor rejects the state or no live workers remain.
+// log, then ship factors to every live worker concurrently, or queue a
+// column for each live worker's next request. Workers that fail mid-push
+// are marked down (they will be replayed the same state on rejoin); the
+// push only errors if an executor rejects the state or no live workers
+// remain.
 func (c *Coordinator) PushState(ctx context.Context, kind transport.StateKind, payload []byte) error {
 	switch kind {
-	case transport.StateSetup:
-		c.setup, c.factors, c.columns = payload, nil, nil
 	case transport.StateFactors:
 		c.factors, c.columns = payload, nil
+		for _, w := range c.workers {
+			w.mu.Lock()
+			w.queued = nil
+			w.mu.Unlock()
+		}
+		return c.pushAll(ctx, kind, func(int) []byte { return payload }, nil)
 	case transport.StateColumn:
 		c.columns = append(c.columns, payload)
+		live := 0
+		for _, w := range c.workers {
+			w.mu.Lock()
+			if w.conn != nil {
+				w.queued = append(w.queued, transport.StateBlob{Kind: kind, Payload: payload})
+				live++
+			}
+			w.mu.Unlock()
+		}
+		if live == 0 {
+			return fmt.Errorf("tcp: state push (%s): no live workers", kind)
+		}
+		return nil
 	}
+	return fmt.Errorf("tcp: state push (%s): not a broadcast state kind", kind)
+}
+
+// pushAll sends every live machine m a MsgState of kind carrying
+// payload(m), all machines concurrently, and waits for every reply.
+// acked, when non-nil, runs under the machine's lock after an
+// acknowledged push. Machines whose connection dies are marked down and
+// skipped; a rejected push fails the whole push, naming the
+// lowest-numbered rejecting machine so the error is deterministic.
+func (c *Coordinator) pushAll(ctx context.Context, kind transport.StateKind, payload func(m int) []byte, acked func(m int, w *worker)) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	errs := make([]error, len(c.workers))
+	var wg sync.WaitGroup
+	for m, w := range c.workers {
+		wg.Add(1)
+		go func(m int, w *worker) {
+			defer wg.Done()
+			w.mu.Lock()
+			defer w.mu.Unlock()
+			resp, err := c.callLocked(m, w, &transport.Msg{Type: transport.MsgState, State: kind, Payload: payload(m)})
+			switch {
+			case err != nil:
+			case resp.Type != transport.MsgAck:
+				err = fmt.Errorf("worker %d replied %d, want ack", m, resp.Type)
+			case acked != nil:
+				acked(m, w)
+			}
+			errs[m] = err
+		}(m, w)
+	}
+	// Each call is bounded by CallTimeout, so the join is too.
+	wg.Wait() //dbtf:blocking every push goroutine's socket exchange carries the CallTimeout deadline
 	live := 0
-	for m := range c.workers {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if !c.alive(m) {
-			continue
-		}
-		resp, err := c.call(m, &transport.Msg{Type: transport.MsgState, State: kind, Payload: payload})
+	for _, err := range errs {
 		switch {
 		case errors.Is(err, errDown):
-			continue
 		case err != nil:
 			return fmt.Errorf("tcp: state push (%s): %w", kind, err)
-		case resp.Type != transport.MsgAck:
-			return fmt.Errorf("tcp: state push (%s): worker %d replied %d, want ack", kind, m, resp.Type)
+		default:
+			live++
 		}
-		live++
 	}
 	if live == 0 {
 		return fmt.Errorf("tcp: state push (%s): no live workers", kind)
@@ -419,6 +522,34 @@ func (c *Coordinator) executorFor(home int) (int, error) {
 	return 0, errors.New("tcp: no live workers")
 }
 
+// runBatch sends one stage batch to machine exec. The request carries the
+// machine's queued columns and — when exec stands in for a down home it
+// has not adopted yet — that home's setup blob, applied before the tasks.
+// The queue is spent only by an answered request; a machine that dies
+// with it is replayed instead.
+func (c *Coordinator) runBatch(exec, home int, spec transport.Spec, tasks []int) (*transport.Msg, error) {
+	w := c.workers[exec]
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	states := w.queued
+	adopt := exec != home && !w.holds[home] && c.homes != nil
+	if adopt {
+		states = append(states[:len(states):len(states)], transport.StateBlob{Kind: transport.StateAdopt, Payload: c.homes[home]})
+	}
+	resp, err := c.callLocked(exec, w, &transport.Msg{Type: transport.MsgRun, Spec: spec, Tasks: tasks, States: states})
+	if err != nil {
+		return nil, err
+	}
+	w.queued = nil
+	if adopt {
+		if w.holds == nil {
+			w.holds = map[int]bool{}
+		}
+		w.holds[home] = true
+	}
+	return resp, nil
+}
+
 // Run implements transport.Transport: partition the stage's tasks into
 // per-home-machine batches, execute the batches concurrently, and deliver
 // results sequentially. A batch whose connection dies is relaunched on the
@@ -450,7 +581,7 @@ func (c *Coordinator) Run(ctx context.Context, spec transport.Spec, deliver func
 				return fmt.Errorf("tcp: stage %q: %w", spec.Name, err)
 			}
 			go func(b batch, exec int) {
-				resp, err := c.call(exec, &transport.Msg{Type: transport.MsgRun, Spec: spec, Tasks: b.tasks})
+				resp, err := c.runBatch(exec, b.home, spec, b.tasks)
 				if err != nil {
 					results <- batchOutcome{b: b, exec: exec, err: err}
 					return

@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -42,6 +43,12 @@ func (h *echoHost) RunTask(spec transport.Spec, task int) ([]byte, error) {
 		return nil, h.taskErr
 	}
 	return []byte(fmt.Sprintf("%s/%d", spec.Name, task)), nil
+}
+
+func (h *echoHost) blobsOf(kind transport.StateKind) [][]byte {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return append([][]byte(nil), h.blobs[kind]...)
 }
 
 func (h *echoHost) appliedKinds() []transport.StateKind {
@@ -100,7 +107,7 @@ func TestPushStateReachesAllWorkers(t *testing.T) {
 		t.Fatalf("Machines() = %d, want 3", c.Machines())
 	}
 	ctx := context.Background()
-	if err := c.PushState(ctx, transport.StateSetup, []byte("setup")); err != nil {
+	if err := c.PushSetup(ctx, [][]byte{[]byte("setup0"), []byte("setup1"), []byte("setup2")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.PushState(ctx, transport.StateFactors, []byte("factors")); err != nil {
@@ -111,6 +118,13 @@ func TestPushStateReachesAllWorkers(t *testing.T) {
 		if len(got) != 2 || got[0] != transport.StateSetup || got[1] != transport.StateFactors {
 			t.Fatalf("worker %d applied %v, want [setup factors]", i, got)
 		}
+		// Each machine receives its own setup blob and no other.
+		if blobs := h.blobsOf(transport.StateSetup); len(blobs) != 1 || string(blobs[0]) != fmt.Sprintf("setup%d", i) {
+			t.Fatalf("worker %d received setup blobs %q, want only setup%d", i, blobs, i)
+		}
+	}
+	if err := c.PushState(ctx, transport.StateSetup, []byte("setup")); err == nil {
+		t.Fatal("PushState accepted a setup blob; setup goes through PushSetup")
 	}
 	sent, recvd := c.WireBytes()
 	if sent == 0 || recvd == 0 {
@@ -204,7 +218,7 @@ func TestWorkerLossReroutesAndRejoinReplays(t *testing.T) {
 		}
 	}()
 	ctx := context.Background()
-	if err := c.PushState(ctx, transport.StateSetup, []byte("setup")); err != nil {
+	if err := c.PushSetup(ctx, [][]byte{[]byte("setup0"), []byte("setup1")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.PushState(ctx, transport.StateFactors, []byte("f1")); err != nil {
@@ -238,6 +252,16 @@ func TestWorkerLossReroutesAndRejoinReplays(t *testing.T) {
 		if m != 0 {
 			t.Fatalf("task %d ran on machine %d after the loss, want 0", task, m)
 		}
+	}
+	// The successor received the queued column with its own batch and
+	// adopted machine 1's setup blob with the rerouted one — and nothing
+	// else: machine 1's blob never reached it before the loss.
+	wantKinds := []transport.StateKind{transport.StateSetup, transport.StateFactors, transport.StateColumn, transport.StateAdopt}
+	if got := h0.appliedKinds(); fmt.Sprint(got) != fmt.Sprint(wantKinds) {
+		t.Fatalf("successor applied %v, want %v", got, wantKinds)
+	}
+	if got := h0.blobsOf(transport.StateAdopt); len(got) != 1 || string(got[0]) != "setup1" {
+		t.Fatalf("successor adopted %q, want [setup1]", got)
 	}
 	ev := c.Membership(ctx)
 	var sawLoss bool
@@ -292,6 +316,10 @@ func TestWorkerLossReroutesAndRejoinReplays(t *testing.T) {
 			t.Fatalf("replay applied %v, want %v", got, want)
 		}
 	}
+	// The replayed setup is machine 1's own blob.
+	if blobs := h1b.blobsOf(transport.StateSetup); len(blobs) != 1 || string(blobs[0]) != "setup1" {
+		t.Fatalf("replayed setup blobs %q, want [setup1]", blobs)
+	}
 
 	// And the rejoined worker takes its work back.
 	err = c.Run(ctx, spec, func(tr transport.TaskResult) error {
@@ -302,6 +330,165 @@ func TestWorkerLossReroutesAndRejoinReplays(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestColumnsRideOnNextRequest pins the column protocol: a column commit
+// costs no frame of its own, reaches each worker with its next request
+// before that request's tasks, and is dropped from the queue by a factors
+// push, which supersedes it.
+func TestColumnsRideOnNextRequest(t *testing.T) {
+	hosts := []*echoHost{newEchoHost(), newEchoHost()}
+	var addrs []string
+	for _, h := range hosts {
+		addr, _ := startWorker(t, h)
+		addrs = append(addrs, addr)
+	}
+	c, err := Dial(testConfig(addrs...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := c.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
+	ctx := context.Background()
+	if err := c.PushSetup(ctx, [][]byte{[]byte("s0"), []byte("s1")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.PushState(ctx, transport.StateFactors, []byte("f1")); err != nil {
+		t.Fatal(err)
+	}
+	sent, _ := c.WireBytes()
+	for _, col := range []string{"c1", "c2"} {
+		if err := c.PushState(ctx, transport.StateColumn, []byte(col)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after, _ := c.WireBytes(); after != sent {
+		t.Fatalf("column pushes wrote %d bytes, want none before the next request", after-sent)
+	}
+	spec := transport.Spec{Name: "eval:A", Kind: transport.KindEval, Tasks: 2}
+	if err := c.Run(ctx, spec, func(transport.TaskResult) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range hosts {
+		if got := h.blobsOf(transport.StateColumn); len(got) != 2 || string(got[0]) != "c1" || string(got[1]) != "c2" {
+			t.Fatalf("worker %d applied columns %q, want [c1 c2]", i, got)
+		}
+	}
+	// A queued column is superseded by the next factors push.
+	if err := c.PushState(ctx, transport.StateColumn, []byte("c3")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.PushState(ctx, transport.StateFactors, []byte("f2")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(ctx, spec, func(transport.TaskResult) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range hosts {
+		if got := h.blobsOf(transport.StateColumn); len(got) != 2 {
+			t.Fatalf("worker %d applied columns %q after a factors push, want the superseded c3 dropped", i, got)
+		}
+	}
+}
+
+// TestQueuedStateApplyErrorFailsRun: a queued blob the executor rejects
+// fails the stage as an executor error, not as a machine loss.
+func TestQueuedStateApplyErrorFailsRun(t *testing.T) {
+	h := &rejectingHost{echoHost: newEchoHost(), reject: transport.StateColumn}
+	addr, _ := startWorker(t, h)
+	c, err := Dial(testConfig(addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := c.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
+	ctx := context.Background()
+	if err := c.PushState(ctx, transport.StateColumn, []byte("bad")); err != nil {
+		t.Fatal(err)
+	}
+	spec := transport.Spec{Name: "eval:B", Kind: transport.KindEval, Tasks: 1}
+	ran := false
+	err = c.Run(ctx, spec, func(transport.TaskResult) error { ran = true; return nil })
+	if err == nil || !strings.Contains(err.Error(), "column rejected") {
+		t.Fatalf("Run = %v, want the rejected column's error", err)
+	}
+	if ran {
+		t.Fatal("tasks ran after their queued state failed to apply")
+	}
+	if ev := c.Membership(ctx); len(ev) != 0 {
+		t.Fatalf("Membership reported %v after an apply error, want no transitions", ev)
+	}
+}
+
+// rejectingHost fails every Apply of one state kind.
+type rejectingHost struct {
+	*echoHost
+	reject transport.StateKind
+}
+
+func (h *rejectingHost) Apply(kind transport.StateKind, payload []byte) error {
+	if kind == h.reject {
+		return fmt.Errorf("%s rejected", kind)
+	}
+	return h.echoHost.Apply(kind, payload)
+}
+
+// TestMembershipPingsOnlySilentWorkers pins evidence-based liveness: a
+// worker that answered a call since the previous boundary is not pinged;
+// one that stayed silent is.
+func TestMembershipPingsOnlySilentWorkers(t *testing.T) {
+	hosts := []*echoHost{newEchoHost(), newEchoHost()}
+	var addrs []string
+	for _, h := range hosts {
+		addr, _ := startWorker(t, h)
+		addrs = append(addrs, addr)
+	}
+	c, err := Dial(testConfig(addrs...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := c.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
+	ctx := context.Background()
+	// The handshake answered: the first boundary sends nothing.
+	before, _ := c.WireBytes()
+	if ev := c.Membership(ctx); len(ev) != 0 {
+		t.Fatalf("Membership = %v, want none", ev)
+	}
+	if after, _ := c.WireBytes(); after != before {
+		t.Fatalf("first boundary wrote %d bytes, want no pings after the handshake", after-before)
+	}
+	// Only worker 0 answers a stage (one task, home 0); worker 1 is silent
+	// and gets the only ping at the next boundary.
+	spec := transport.Spec{Name: "total-error", Kind: transport.KindTotalError, Tasks: 1}
+	if err := c.Run(ctx, spec, func(transport.TaskResult) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	before, _ = c.WireBytes()
+	c.Membership(ctx)
+	pinged, _ := c.WireBytes()
+	var ping bytes.Buffer
+	if _, err := transport.WriteFrame(&ping, &transport.Msg{Type: transport.MsgPing}); err != nil {
+		t.Fatal(err)
+	}
+	if got := pinged - before; got != int64(ping.Len()) {
+		t.Fatalf("boundary wrote %d bytes, want exactly one %d-byte ping", got, ping.Len())
+	}
+	// A pong is no evidence for the following boundary: with no calls in
+	// between, both workers are pinged.
+	c.Membership(ctx)
+	if after, _ := c.WireBytes(); after-pinged != 2*int64(ping.Len()) {
+		t.Fatalf("silent boundary wrote %d bytes, want two pings", after-pinged)
 	}
 }
 

@@ -7,11 +7,11 @@
 // The split mirrors a classic driver/executor design (Spark's, which the
 // paper's DBTF runs on): the coordinator keeps the whole algorithm —
 // control flow, RNG, column commits, checkpointing — and remote machines
-// are stage servers holding replicated state (the tensor, the partitioned
-// unfoldings, the current factor matrices) that execute named stage kinds
-// against it. Because the executors run the byte-identical kernels on
-// byte-identical state, a run over any Transport must produce factors
-// bit-identical to the simulated engine's for the same seed; the
+// are stage servers holding their own share of the partitioned
+// unfoldings plus replicated factor matrices, and execute named stage
+// kinds against them. Because the executors run the byte-identical
+// kernels on byte-identical state, a run over any Transport must produce
+// factors bit-identical to the simulated engine's for the same seed; the
 // differential tests enforce exactly that.
 //
 // The package holds the interfaces and the length-prefixed gob frame
@@ -67,16 +67,15 @@ type Spec struct {
 	Tasks int
 }
 
-// StateKind names a replicated-state push from the coordinator to every
-// executor.
+// StateKind names a state blob the coordinator ships to an executor.
 type StateKind uint8
 
 const (
-	// StateSetup ships the run's immutable inputs: the tensor and the
-	// decomposition options the executors need to rebuild everything else
-	// (partitioned unfoldings, caches) locally. Re-sent in full when a
-	// lost machine rejoins — the re-shipped partitions of the recovery
-	// protocol.
+	// StateSetup installs the executor's own share of the run: the
+	// decomposition parameters plus the partitions of all three modes it
+	// owns (partition pi lives on machine pi mod M), already laid out. It
+	// resets everything else the executor held. Each machine receives
+	// only its own blob (PushSetup); a rejoining machine has it replayed.
 	StateSetup StateKind = iota + 1
 	// StateFactors replaces the three factor matrices — the per-iteration
 	// broadcast working set. It invalidates executor-side column tasks
@@ -86,6 +85,11 @@ const (
 	// place, keeping executor state identical to the coordinator's
 	// between full broadcasts.
 	StateColumn
+	// StateAdopt adds another home machine's setup blob to an executor
+	// that already holds its own, without resetting anything: the
+	// re-shipped partitions a ring successor needs before it runs a lost
+	// machine's tasks.
+	StateAdopt
 )
 
 // String returns the state kind's name.
@@ -97,6 +101,8 @@ func (k StateKind) String() string {
 		return "factors"
 	case StateColumn:
 		return "column"
+	case StateAdopt:
+		return "adopt"
 	}
 	return "unknown"
 }
@@ -121,6 +127,12 @@ type LivenessEvent struct {
 	Up      bool
 }
 
+// StateBlob is one state blob in transit: its kind and its payload.
+type StateBlob struct {
+	Kind    StateKind
+	Payload []byte
+}
+
 // Transport executes remote stages for the cluster engine. Implementations
 // own connection management and failure detection; the engine owns all
 // accounting. The engine calls Membership at every remote stage boundary
@@ -131,19 +143,30 @@ type LivenessEvent struct {
 type Transport interface {
 	// Machines returns the executor count M; must equal the cluster's.
 	Machines() int
-	// Membership detects failed connections (read deadline, heartbeat),
-	// attempts to redial dead machines and replay their state, and
-	// returns the liveness transitions since the previous call, in
-	// detection order.
+	// Membership detects failed connections, attempts to redial dead
+	// machines and replay their state, and returns the liveness
+	// transitions since the previous call, in detection order. A live
+	// machine is probed only when no call to it succeeded since the
+	// previous boundary: a successful call is already evidence of life.
 	Membership(ctx context.Context) []LivenessEvent
-	// PushState replicates one state blob to every live executor. A
-	// machine that misses a push because its connection died is marked
-	// down and receives a full replay when it rejoins. PushState fails
-	// only when no live executor remains.
+	// PushSetup ships homes[m], machine m's StateSetup blob, to every live
+	// machine m, concurrently, and records the blobs for replay and for
+	// adoption by ring successors. A machine that misses its blob because
+	// its connection died is marked down. PushSetup fails only when an
+	// executor rejects its blob or no live executor remains.
+	PushSetup(ctx context.Context, homes [][]byte) error
+	// PushState replicates one StateFactors or StateColumn blob to every
+	// live executor and records it for replay. Factors go out at once;
+	// a column is queued per executor and travels with that executor's
+	// next request, applied before the request's tasks, so a column
+	// commit costs no round trip of its own. A factors push supersedes
+	// the queued columns. PushState fails only when an executor rejects
+	// the state or no live executor remains.
 	PushState(ctx context.Context, kind StateKind, payload []byte) error
 	// Run executes the stage: every task in [0, spec.Tasks) runs on its
 	// home machine (task mod M) or, while that machine is down, on the
 	// next live machine in ring order — the engine's reassignment rule.
+	// A successor first adopts the home's setup blob, in the same request.
 	// deliver is called sequentially, once per task, in completion order.
 	// A task whose machine dies mid-stage is rerouted and re-executed
 	// (tasks are idempotent by the engine's contract); Run fails only

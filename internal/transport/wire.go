@@ -10,12 +10,13 @@ import (
 )
 
 // ProtoVersion is the wire protocol version carried in the handshake;
-// mismatched peers refuse each other instead of mis-decoding.
-const ProtoVersion = 1
+// mismatched peers refuse each other instead of mis-decoding. Version 2
+// ships per-home setup blobs and carries queued state on MsgRun.
+const ProtoVersion = 2
 
 // DefaultMaxFrame bounds a frame body when the caller does not choose a
-// tighter limit: large enough for a pushed tensor, small enough that a
-// corrupt length prefix cannot ask for absurd memory.
+// tighter limit: large enough for a machine's setup share, small enough
+// that a corrupt length prefix cannot ask for absurd memory.
 const DefaultMaxFrame = 1 << 30
 
 // readChunk caps the per-read allocation while a frame body streams in,
@@ -36,7 +37,8 @@ const (
 	MsgState
 	// MsgAck acknowledges a MsgState.
 	MsgAck
-	// MsgRun requests execution of Tasks under Spec.
+	// MsgRun requests execution of Tasks under Spec, after applying
+	// States in order.
 	MsgRun
 	// MsgResult returns a MsgRun's outputs.
 	MsgResult
@@ -65,9 +67,13 @@ type Msg struct {
 	// State and Payload carry a MsgState push.
 	State   StateKind
 	Payload []byte
-	// Spec and Tasks carry a MsgRun request.
-	Spec  Spec
-	Tasks []int
+	// Spec and Tasks carry a MsgRun request; States are the state blobs
+	// queued for the executor since its previous request (committed
+	// columns, an adopted home's setup), applied in order before any
+	// task. A failed apply fails the request.
+	Spec   Spec
+	Tasks  []int
+	States []StateBlob
 	// Outputs carries a MsgResult.
 	Outputs []TaskOutput
 	// Error carries a MsgError.
