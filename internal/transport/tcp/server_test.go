@@ -116,8 +116,11 @@ func TestShutdownClosesIdleConnections(t *testing.T) {
 	}
 	// The idle connection was closed server-side: the next call fails and
 	// the machine is reported down.
-	if err := c.PushState(context.Background(), transport.StateSetup, []byte("x")); err == nil {
+	if err := c.PushState(context.Background(), transport.StateFactors, []byte("x")); err == nil {
 		t.Fatal("PushState succeeded against a drained server")
+	}
+	if ev := c.Membership(context.Background()); len(ev) != 1 || ev[0] != (transport.LivenessEvent{Machine: 0, Up: false}) {
+		t.Fatalf("Membership after the drain = %v, want machine 0 down", ev)
 	}
 }
 
